@@ -100,6 +100,7 @@ func ComputeContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, o
 	cur := []node{{state: plan.Root(), p: xfloat.One}}
 	res := Result{Nodes: 1, PeakWidth: 1}
 	pc := xfloat.Zero
+	var index frontier.StateIndex // merge key → position in next
 
 	for l := 0; l < plan.M(); l++ {
 		if len(cur) == 0 {
@@ -121,27 +122,27 @@ func ComputeContext(ctx context.Context, g *ugraph.Graph, ts ugraph.Terminals, o
 		if err := sampling.ForEachChunkCtx(ctx, opts.Exec, nchunks, workers, func() func(int) {
 			sc := frontier.NewScratch(plan)
 			var scratch frontier.State
-			keyBuf := make([]byte, 0, 64)
+			var local frontier.StateIndex
 			return func(c int) {
 				lo := c * parentChunk
 				hi := min(lo+parentChunk, len(cur))
-				outs[c] = expandChunk(plan, l, cur[lo:hi], sc, &scratch, &keyBuf)
+				outs[c] = expandChunk(plan, l, cur[lo:hi], sc, &scratch, &local)
 			}
 		}); err != nil {
 			return Result{}, err
 		}
 
-		index := make(map[string]int, 2*len(cur))
+		index.Reset()
 		next := make([]node, 0, 2*len(cur))
 		for _, co := range outs {
 			if !co.pc.IsZero() {
 				pc = pc.Add(co.pc)
 			}
 			for _, en := range co.entries {
-				if j, ok := index[en.key]; ok {
+				if j := index.Lookup(en.hash, &en.state); j >= 0 {
 					next[j].p = next[j].p.Add(en.p)
 				} else {
-					index[en.key] = len(next)
+					index.Insert(en.hash, en.state)
 					next = append(next, node{state: en.state, p: en.p})
 					res.Nodes++
 					if res.Nodes > budget {

@@ -12,9 +12,9 @@ import (
 const parentChunk = 256
 
 // chunkEntry is one live child produced by a chunk, deduplicated within the
-// chunk, in first-encounter order.
+// chunk, in first-encounter order, with its merge-key hash.
 type chunkEntry struct {
-	key   string
+	hash  uint64
 	state frontier.State
 	p     xfloat.F
 }
@@ -30,10 +30,11 @@ type chunkResult struct {
 // Because parents are contiguous and within-chunk dedup accumulates in
 // encounter order, merging chunks in index order reproduces the exact
 // left-to-right addition sequence of a sequential sweep over the layer.
-func expandChunk(plan *frontier.Plan, l int, parents []node, sc *frontier.Scratch, scratch *frontier.State, keyBuf *[]byte) chunkResult {
+// local is the caller's reusable dedup index.
+func expandChunk(plan *frontier.Plan, l int, parents []node, sc *frontier.Scratch, scratch *frontier.State, local *frontier.StateIndex) chunkResult {
 	var out chunkResult
 	e := plan.EdgeAt(l)
-	local := make(map[string]int, 2*len(parents))
+	local.Reset()
 	for i := range parents {
 		n := &parents[i]
 		for _, exists := range [2]bool{false, true} {
@@ -48,13 +49,13 @@ func expandChunk(plan *frontier.Plan, l int, parents []node, sc *frontier.Scratc
 			case frontier.ZeroSink:
 				// mass discarded
 			case frontier.Live:
-				*keyBuf = scratch.Key((*keyBuf)[:0])
-				if j, ok := local[string(*keyBuf)]; ok {
+				h := scratch.Hash()
+				if j := local.Lookup(h, scratch); j >= 0 {
 					out.entries[j].p = out.entries[j].p.Add(childP)
 				} else {
-					k := string(*keyBuf)
-					local[k] = len(out.entries)
-					out.entries = append(out.entries, chunkEntry{key: k, state: scratch.Clone(), p: childP})
+					st := scratch.Clone()
+					local.Insert(h, st)
+					out.entries = append(out.entries, chunkEntry{hash: h, state: st, p: childP})
 				}
 			}
 		}

@@ -11,7 +11,7 @@
 // tables: whether a child merges into the layer, occupies a fresh node slot,
 // or is deleted into a sampling stratum depends on the global,
 // order-dependent fill state of the width-bounded table. Chunks therefore do
-// only the schedule-independent work — Apply, key construction, within-chunk
+// only the schedule-independent work — Apply, key hashing, within-chunk
 // deduplication — and record an event log; the driver replays the logs in
 // (chunk, event) order against the global table. Replay order equals the
 // sequential sweep's child order, so every xfloat addition, node ID,
@@ -19,6 +19,13 @@
 // chunk) draw is bit-identical for any worker count — including one, which
 // makes the chunked construction the schedule rather than an approximation
 // of it.
+//
+// Both the chunk and the layer tables are frontier.StateIndex values keyed
+// by the 64-bit hash of the Lemma 4.3 key, which the chunk computes once
+// per distinct child. Every hash hit is confirmed by an exact Comp/Flag
+// comparison and colliding keys chain, so merge decisions are those of a
+// table keyed by the full key; no key bytes are materialized, and the
+// tables' storage is reused across layers.
 package core
 
 import (
@@ -54,12 +61,26 @@ type expandEvent struct {
 }
 
 // expandEntry is one distinct live-child key produced by a chunk, in
-// first-encounter order. Its state storage comes from the producing slot's
-// pool; the replay hands it to the layer table or a deletion snapshot (or
-// returns it to the driver pool when the key already exists globally).
+// first-encounter order, with the key's hash (computed once, in the chunk,
+// for both the chunk's and the layer's index). Its state storage comes from
+// the producing slot's pool; the replay hands it to the layer table or a
+// deletion snapshot (or returns it to the driver pool when the key already
+// exists globally).
 type expandEntry struct {
-	key   string
+	hash  uint64
 	state frontier.State
+}
+
+// collideHashes, set only by tests, makes stateHash map every state to one
+// value, so every merge decision goes through the SameKey chain.
+var collideHashes bool
+
+// stateHash is the merge-table hash of a live child.
+func stateHash(s *frontier.State) uint64 {
+	if collideHashes {
+		return 0
+	}
+	return s.Hash()
 }
 
 // expandResult is a chunk's output log.
@@ -69,13 +90,12 @@ type expandResult struct {
 }
 
 // expandSlot is the per-worker scratch of the construction phase: Apply
-// buffers, a key buffer, the within-chunk dedup map, and a state pool the
-// driver refills between layers.
+// buffers, the within-chunk dedup index, and a state pool the driver
+// refills between layers.
 type expandSlot struct {
 	sc      *frontier.Scratch
 	scratch frontier.State
-	keyBuf  []byte
-	local   map[string]int32
+	local   frontier.StateIndex
 	pool    frontier.StatePool
 }
 
@@ -84,10 +104,7 @@ type expandSlot struct {
 // built before the pool starts), so no locking is needed.
 func (r *run) expandSlotFor(slot int) *expandSlot {
 	for len(r.expands) <= slot {
-		r.expands = append(r.expands, &expandSlot{
-			sc:    frontier.NewScratch(r.plan),
-			local: make(map[string]int32, 2*expandChunk),
-		})
+		r.expands = append(r.expands, &expandSlot{sc: frontier.NewScratch(r.plan)})
 	}
 	return r.expands[slot]
 }
@@ -117,9 +134,10 @@ func (r *run) distributeFree() {
 // per-chunk logs in chunk order. The log storage (the chunk slice and each
 // chunk's event/entry arrays) is owned by the run and reused across layers
 // — the driver fully consumes every log before the next expansion starts —
-// so steady-state construction allocates only key strings and fresh node
-// states, as the sequential sweep did. On cancellation the partial logs
-// are garbage and the caller must propagate the error.
+// as are the slots' dedup indexes, so once the first layers have sized
+// them, construction allocates only node states its pools cannot supply. On
+// cancellation the partial logs are garbage and the caller must propagate
+// the error.
 func (r *run) expandLayer(l int, parents []node) ([]expandResult, error) {
 	nchunks := (len(parents) + expandChunk - 1) / expandChunk
 	for len(r.chunkBuf) < nchunks {
@@ -149,7 +167,7 @@ func (es *expandSlot) expand(plan *frontier.Plan, l int, parents []node, earlyTe
 	out.events = out.events[:0]
 	out.entries = out.entries[:0]
 	e := plan.EdgeAt(l)
-	clear(es.local)
+	es.local.Reset()
 	for i := range parents {
 		n := &parents[i]
 		for _, exists := range [2]bool{true, false} {
@@ -164,13 +182,12 @@ func (es *expandSlot) expand(plan *frontier.Plan, l int, parents []node, earlyTe
 			case frontier.ZeroSink:
 				out.events = append(out.events, expandEvent{kind: expandZeroSink, p: childP})
 			case frontier.Live:
-				es.keyBuf = es.scratch.Key(es.keyBuf[:0])
-				j, ok := es.local[string(es.keyBuf)]
-				if !ok {
-					j = int32(len(out.entries))
-					k := string(es.keyBuf)
-					es.local[k] = j
-					out.entries = append(out.entries, expandEntry{key: k, state: es.pool.Take(&es.scratch)})
+				h := stateHash(&es.scratch)
+				j := es.local.Lookup(h, &es.scratch)
+				if j < 0 {
+					st := es.pool.Take(&es.scratch)
+					j = es.local.Insert(h, st)
+					out.entries = append(out.entries, expandEntry{hash: h, state: st})
 				}
 				out.events = append(out.events, expandEvent{kind: expandLive, entry: j, p: childP})
 			}
@@ -189,7 +206,7 @@ const (
 // layerTable is the replay's view of one layer under construction.
 type layerTable struct {
 	next        []node
-	index       map[string]int
+	index       frontier.StateIndex // merge key → slot of next
 	deleted     []snapshot
 	deletedMass xfloat.F
 }
@@ -224,14 +241,13 @@ func (r *run) replayChunk(ch *expandResult, t *layerTable, resolve []int32) erro
 			r.res.NodesDeleted++
 		default: // first event of this entry
 			ent := &ch.entries[ev.entry]
-			if j, ok := t.index[ent.key]; ok {
-				resolve[ev.entry] = int32(j)
+			if j := t.index.Lookup(ent.hash, &ent.state); j >= 0 {
+				resolve[ev.entry] = j
 				t.next[j].p = t.next[j].p.Add(ev.p)
 				r.res.NodesMerged++
 				r.pool.Put(ent.state) // state already represented globally
 			} else if len(t.next) < cfg.MaxWidth {
-				resolve[ev.entry] = int32(len(t.next))
-				t.index[ent.key] = len(t.next)
+				resolve[ev.entry] = t.index.Insert(ent.hash, ent.state)
 				t.next = append(t.next, node{state: ent.state, p: ev.p})
 				r.res.NodesCreated++
 			} else {

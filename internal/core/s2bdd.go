@@ -134,6 +134,7 @@ type run struct {
 	estSampled  xfloat.F
 
 	remaining []int32 // per-vertex count of unprocessed incident edges
+	compDeg   []int32 // heuristic's per-component degree buffer
 
 	// pool is the driver's share of the recycled state storage; the
 	// expansion slots hold the rest (see distributeFree). Construction
@@ -200,9 +201,15 @@ func (r *run) execute() (Result, error) {
 		workBudget = cfg.WorkFactor * float64(cfg.Samples) * float64(m)
 	}
 
+	// Per-layer storage reused across layers: the layer table (its index
+	// included), the replay's entry resolutions, and spare, the previous
+	// layer's node slice, whose states are back in the pool by the time
+	// the table refills it. table.deleted is reused only once its stratum
+	// has been drawn and recycled.
 	flushed := false
-	index := make(map[string]int, 256)
+	var table layerTable
 	var resolve []int32
+	var spare []node
 	for l := 0; l < m && len(nodes) > 0; l++ {
 		// Cancellation is checked per layer here and per expansion chunk
 		// inside expandLayer (the sampling phase additionally checks at
@@ -223,11 +230,13 @@ func (r *run) execute() (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		clear(index)
-		table := layerTable{
-			next:  make([]node, 0, min(2*len(nodes), cfg.MaxWidth)),
-			index: index,
+		if want := min(2*len(nodes), cfg.MaxWidth); cap(spare) < want {
+			spare = make([]node, 0, want)
 		}
+		table.next = spare[:0]
+		table.index.Reset()
+		table.deleted = table.deleted[:0]
+		table.deletedMass = xfloat.Zero
 		for ci := range chunks {
 			ch := &chunks[ci]
 			if cap(resolve) < len(ch.entries) {
@@ -256,15 +265,19 @@ func (r *run) execute() (Result, error) {
 		// neither is referenced past this point.
 		if len(deleted) > 0 {
 			r.sampleStratum(l+1, curF, deleted, deletedMass)
-			if !r.deferred {
+			if r.deferred {
 				// Deferred strata keep their snapshots alive until the
-				// Sampler has drawn them, so their storage is not recycled.
+				// Sampler has drawn them, so neither their state storage
+				// nor the slice is reused.
+				table.deleted = nil
+			} else {
 				r.recycle(deleted)
 			}
 		}
 		for i := range nodes {
 			r.pool.Put(nodes[i].state)
 		}
+		spare = nodes
 
 		// Priority-sort the next layer so that, when it overflows, the
 		// lowest-h children are the ones deleted (Algorithm 2 line 34).
@@ -362,16 +375,11 @@ func (r *run) heuristic(f []int32, n *node) float64 {
 	st := &n.state
 	best := 0.0
 	// d per component: sum of remaining uncertain edges over member slots.
-	var dbuf [64]int32
-	var d []int32
-	if len(st.Flag) <= len(dbuf) {
-		d = dbuf[:len(st.Flag)]
-		for i := range d {
-			d[i] = 0
-		}
-	} else {
-		d = make([]int32, len(st.Flag))
+	if cap(r.compDeg) < len(st.Flag) {
+		r.compDeg = make([]int32, len(st.Flag))
 	}
+	d := r.compDeg[:len(st.Flag)]
+	clear(d)
 	for slot, v := range f {
 		d[st.Comp[slot]] += r.remaining[v]
 	}

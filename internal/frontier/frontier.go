@@ -20,14 +20,17 @@
 //     other terminal-carrying components or unseen terminals remain.
 //
 // The Plan stores each layer as a diff (≤2 vertices enter, ≤2 retire), so
-// its memory is O(m) regardless of frontier width; callers that need the
-// concrete frontier of the layer they are processing maintain it
-// incrementally with AdvanceFrontier.
+// its memory is O(n + m) regardless of frontier width, and NewPlan computes
+// the diffs' frontier slots with a Fenwick tree in O(n + m log n) time;
+// callers that need the concrete frontier of the layer they are processing
+// maintain it incrementally with AdvanceFrontier.
 package frontier
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"netrel/internal/ugraph"
 )
@@ -69,6 +72,9 @@ func (s *State) Clone() State {
 
 // Key appends a canonical byte encoding of the mergeable part of the state
 // (partition + terminal booleans, per Lemma 4.3) to dst and returns it.
+// For the states Apply produces at one layer, keys are equal exactly when
+// SameKey holds; the construction tables compare states with Hash and
+// SameKey instead of materializing keys.
 func (s *State) Key(dst []byte) []byte {
 	for _, c := range s.Comp {
 		dst = append(dst, byte(c), byte(c>>8))
@@ -177,65 +183,88 @@ func NewPlan(g *ugraph.Graph, ts ugraph.Terminals, ord []int) (*Plan, error) {
 	for l := 0; l <= m; l++ {
 		p.termStart[l+1] = p.termStart[l] + cnt[l]
 	}
-	buckets := make([][]int32, m+1)
 	for _, t := range ts {
-		ft := p.firstTouch[t]
-		buckets[ft] = append(buckets[ft], int32(t))
+		p.termsSorted = append(p.termsSorted, int32(t))
 	}
-	for _, b := range buckets {
-		p.termsSorted = append(p.termsSorted, b...)
-	}
+	slices.SortStableFunc(p.termsSorted, func(a, b int32) int {
+		return cmp.Compare(p.firstTouch[a], p.firstTouch[b])
+	})
 
-	// Frontier evolution as diffs; track width via simulation without
-	// retaining the per-layer contents.
+	// Frontier evolution as diffs. AdvanceFrontier keeps survivors in
+	// their relative order and appends entering endpoints (U before V), so
+	// a frontier vertex's slot is the number of live frontier vertices that
+	// entered before it, which a Fenwick tree over entry order counts in
+	// O(log n).
 	p.layers = make([]layerStep, m)
-	slotOf := make(map[int32]int32, 64)
+	rank := make([]int32, n) // 1 + entry order of v while on the frontier, else 0
+	live := make(fenwick, n+1)
+	entered := int32(0)
 	flen := 0
+	slotOf := func(v int) int32 {
+		if r := rank[v]; r > 0 {
+			return live.prefix(r - 1)
+		}
+		return -1
+	}
+	enter := func(v int) {
+		entered++
+		rank[v] = entered
+		live.add(entered, 1)
+		flen++
+	}
+	retire := func(v int) {
+		live.add(rank[v], -1)
+		rank[v] = 0
+		flen--
+	}
 	for l := 0; l < m; l++ {
 		e := g.Edge(ord[l])
-		st := layerStep{edge: e, slotU: -1, slotV: -1, flen: int32(flen)}
-		if s, ok := slotOf[int32(e.U)]; ok {
-			st.slotU = s
+		st := layerStep{
+			edge:     e,
+			slotU:    slotOf(e.U),
+			slotV:    slotOf(e.V),
+			uRetires: p.lastTouch[e.U] == int32(l),
+			vRetires: p.lastTouch[e.V] == int32(l),
+			flen:     int32(flen),
 		}
-		if s, ok := slotOf[int32(e.V)]; ok {
-			st.slotV = s
-		}
-		st.uRetires = p.lastTouch[e.U] == int32(l)
-		st.vRetires = p.lastTouch[e.V] == int32(l)
 		p.layers[l] = st
-
-		// Evolve the slot map exactly as AdvanceFrontier will: survivors
-		// keep relative order; entering endpoints append (U before V).
-		next := make([]int32, 0, flen+2)
-		cur := make([]int32, flen)
-		for v, s := range slotOf {
-			cur[s] = v
+		if st.slotU >= 0 && st.uRetires {
+			retire(e.U)
 		}
-		for _, v := range cur {
-			if (v == int32(e.U) && st.uRetires) || (v == int32(e.V) && st.vRetires) {
-				continue
-			}
-			next = append(next, v)
+		if st.slotV >= 0 && st.vRetires && e.V != e.U {
+			retire(e.V)
 		}
 		if st.slotU == -1 && !st.uRetires {
-			next = append(next, int32(e.U))
+			enter(e.U)
 		}
 		if st.slotV == -1 && !st.vRetires && e.V != e.U {
-			next = append(next, int32(e.V))
+			enter(e.V)
 		}
-		clear(slotOf)
-		for s, v := range next {
-			slotOf[v] = int32(s)
-		}
-		flen = len(next)
-		if flen > p.maxFrontier {
-			p.maxFrontier = flen
-		}
+		p.maxFrontier = max(p.maxFrontier, flen)
 	}
 	if p.maxFrontier > MaxFrontierWidth {
 		return nil, fmt.Errorf("%w: %d", ErrFrontierTooWide, p.maxFrontier)
 	}
 	return p, nil
+}
+
+// fenwick is a binary indexed tree of counts over 1-based positions.
+type fenwick []int32
+
+// add adds d at position i ≥ 1.
+func (f fenwick) add(i int32, d int32) {
+	for ; int(i) < len(f); i += i & -i {
+		f[i] += d
+	}
+}
+
+// prefix returns the sum over positions 1..i.
+func (f fenwick) prefix(i int32) int32 {
+	s := int32(0)
+	for ; i > 0; i -= i & -i {
+		s += f[i]
+	}
+	return s
 }
 
 func validatePerm(m int, ord []int) error {

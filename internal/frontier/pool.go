@@ -2,7 +2,11 @@ package frontier
 
 // StatePool recycles State storage. The S2BDD construction creates and
 // discards up to 2w states per layer, and reusing their slices removes the
-// allocation churn from the hot loop.
+// allocation churn from the hot loop. Construction also reuses its layer
+// buffers (node tables, deletion snapshots, dedup indexes) across layers,
+// so once the widest layers have sized them, new state storage is
+// allocated only when a layer holds more states than the pools have
+// collected.
 //
 // A pool is single-owner and not safe for concurrent use. The parallel
 // construction gives each expansion worker slot its own pool and keeps one
